@@ -16,21 +16,7 @@ const BATCHES: usize = 7;
 ///
 /// `iters` is the batch size — pick it large enough that one batch takes
 /// well over a microsecond so `Instant` resolution is irrelevant.
-pub fn bench<T>(name: &str, iters: u64, f: impl FnMut() -> T) {
-    let median = bench_median_ns(iters, f);
-    if median >= 1_000_000.0 {
-        println!("{name:<40} {:>12.3} ms/iter", median / 1_000_000.0);
-    } else if median >= 1_000.0 {
-        println!("{name:<40} {:>12.3} us/iter", median / 1_000.0);
-    } else {
-        println!("{name:<40} {median:>12.1} ns/iter");
-    }
-}
-
-/// [`bench`]'s measurement core: runs `f` and **returns** the median
-/// ns/iter instead of printing it, for harnesses that post-process the
-/// number (speedup ratios, JSON artifacts) rather than eyeball it.
-pub fn bench_median_ns<T>(iters: u64, mut f: impl FnMut() -> T) -> f64 {
+pub fn bench<T>(name: &str, iters: u64, mut f: impl FnMut() -> T) {
     // Warmup: one full batch, unmeasured.
     for _ in 0..iters {
         black_box(f());
@@ -45,5 +31,12 @@ pub fn bench_median_ns<T>(iters: u64, mut f: impl FnMut() -> T) -> f64 {
         })
         .collect();
     ns_per_iter.sort_by(|a, b| a.total_cmp(b));
-    ns_per_iter[BATCHES / 2]
+    let median = ns_per_iter[BATCHES / 2];
+    if median >= 1_000_000.0 {
+        println!("{name:<40} {:>12.3} ms/iter", median / 1_000_000.0);
+    } else if median >= 1_000.0 {
+        println!("{name:<40} {:>12.3} us/iter", median / 1_000.0);
+    } else {
+        println!("{name:<40} {median:>12.1} ns/iter");
+    }
 }

@@ -528,113 +528,6 @@ impl Core {
             latency: 0, // filled by the caller, which knows the issue cycle
         })
     }
-
-    /// Quiescence hook (see `clip_types::engine::Tick::next_activity`):
-    /// the earliest cycle `>= now` at which ticking this core does
-    /// anything beyond the bulk-accountable stall counters that
-    /// [`Core::skip_stalled`] settles, or `None` when only an external
-    /// load completion can wake it.
-    ///
-    /// The retire side is gated by the ROB head: `Done` (or a due
-    /// `DoneAt`) retires now, a future `DoneAt(t)` wakes at `t`, and
-    /// `InFlight` waits on the memory hierarchy. The dispatch side is
-    /// active now unless fetch is redirecting (`fetch_stall_until`), the
-    /// ROB is full, or the pending instruction is a load blocked purely
-    /// by core-local state (a full load queue, or a serialized pointer
-    /// chase waiting on the previous link) — a load or store blocked by
-    /// *port* back-pressure keeps the core active, since only the memory
-    /// side knows when the port frees up.
-    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let retire_side = match self.rob.front() {
-            None => {
-                // Retiring into an empty ROB clears the stall flag; only
-                // then is the retire side truly inert.
-                if self.head_stall_started.is_some() {
-                    Some(now)
-                } else {
-                    None
-                }
-            }
-            Some(head) => match head.state {
-                EntryState::Done => Some(now),
-                EntryState::DoneAt(t) => Some(t.max(now)),
-                EntryState::InFlight(_) => None,
-            },
-        };
-        let dispatch_side = if now < self.fetch_stall_until {
-            Some(self.fetch_stall_until)
-        } else if self.rob.len() >= self.cfg.rob_entries {
-            None
-        } else {
-            match &self.pending {
-                Some(i) => match i.kind {
-                    InstrKind::Load { serialized, .. }
-                        if self.outstanding_loads >= self.cfg.load_queue
-                            || (serialized && self.serialized_inflight) =>
-                    {
-                        None
-                    }
-                    _ => Some(now),
-                },
-                None => Some(now),
-            }
-        };
-        match (retire_side, dispatch_side) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Bulk accounting for a skipped span of `n` cycles starting at
-    /// `first`, during which [`Core::next_activity`] reported nothing to
-    /// do: the per-cycle counters a stalled tick would have bumped —
-    /// `cycles` always, `head_stall_cycles` (and `_beyond_l1` for an
-    /// in-flight load head) while the head blocks retirement, and
-    /// `dispatch_blocked_mem` while a pure-blocked pending load re-polls
-    /// the load queue. After this, core state is bit-identical to having
-    /// ticked every cycle of the span.
-    ///
-    /// The caller guarantees the whole span is quiescent: no cycle in
-    /// `first..first + n` reaches the activity cycle `next_activity`
-    /// reported, and no load completion arrives inside the span.
-    pub fn skip_stalled(&mut self, first: Cycle, n: u64) {
-        self.stats.cycles += n;
-        if n == 0 {
-            return;
-        }
-        if let Some(head) = self.rob.front() {
-            let stalled = match head.state {
-                EntryState::InFlight(_) => true,
-                // The caller never skips past `t`, so a future DoneAt
-                // head blocks retirement for the whole span.
-                EntryState::DoneAt(t) => t > first,
-                EntryState::Done => false,
-            };
-            if stalled {
-                if self.head_stall_started.is_none() {
-                    self.head_stall_started = Some(first);
-                }
-                self.stats.head_stall_cycles += n;
-                if head.is_load && matches!(head.state, EntryState::InFlight(_)) {
-                    self.stats.head_stall_cycles_beyond_l1 += n;
-                }
-            }
-        }
-        // Dispatch re-polls a pure-blocked pending load every cycle (the
-        // rob-full and fetch-redirect returns happen before any counter).
-        if first >= self.fetch_stall_until
-            && self.rob.len() < self.cfg.rob_entries
-            && matches!(
-                self.pending,
-                Some(Instr {
-                    kind: InstrKind::Load { .. },
-                    ..
-                })
-            )
-        {
-            self.stats.dispatch_blocked_mem += n;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -769,120 +662,6 @@ mod tests {
         core.tick(10, &mut fetch, &mut port);
         assert!(core.stats().loads >= 1);
         assert_eq!(port.issued[0].1, Addr::new(0x1000));
-    }
-
-    #[test]
-    fn quiescence_follows_rob_head_and_pending_state() {
-        let mut core = Core::new(&CoreConfig::default());
-        let mut port = TestPort::new();
-        // A fresh core wants to fetch: active now.
-        assert_eq!(core.next_activity(0), Some(0));
-        // Serialized chase: first load in flight, second pure-blocked on
-        // it — only a completion can wake the core.
-        let mut n = 0u64;
-        let mut fetch = || {
-            n += 1;
-            Instr {
-                ip: Ip::new(0x400 + n),
-                kind: InstrKind::Load {
-                    addr: Addr::new(0x1000 + 64 * n),
-                    serialized: true,
-                },
-            }
-        };
-        core.tick(0, &mut fetch, &mut port);
-        assert_eq!(
-            core.next_activity(1),
-            None,
-            "chase stall is externally gated"
-        );
-        core.complete_load(ReqId(1), MemLevel::Dram, 40).unwrap();
-        assert_eq!(
-            core.next_activity(41),
-            Some(41),
-            "completion wakes the core"
-        );
-    }
-
-    #[test]
-    fn quiescence_reports_done_at_and_fetch_redirect_cycles() {
-        let cfg = CoreConfig {
-            rob_entries: 4,
-            ..CoreConfig::default()
-        };
-        let mut core = Core::new(&cfg);
-        let mut port = TestPort::new();
-        let mut fetch = || Instr {
-            ip: Ip::new(0x200),
-            kind: InstrKind::Alu { latency: 30 },
-        };
-        core.tick(0, &mut fetch, &mut port);
-        // ROB is now full of DoneAt entries; the head completes at 30 and
-        // the full ROB gates dispatch, so 30 is the next interesting cycle.
-        let next = core.next_activity(1).expect("a DoneAt head wakes itself");
-        assert_eq!(next, 30);
-        assert_eq!(core.next_activity(31), Some(31), "a due head retires now");
-    }
-
-    #[test]
-    fn skip_stalled_matches_ticked_pointer_chase_stall() {
-        // Two identical cores enter a serialized-load stall; one ticks
-        // through 100 dead cycles, the other settles them in bulk. Stats
-        // and fingerprints must agree bit-for-bit, before and after the
-        // load completes.
-        let mut cores: Vec<Core> = Vec::new();
-        for _ in 0..2 {
-            let mut core = Core::new(&CoreConfig::default());
-            let mut port = TestPort::new();
-            let mut n = 0u64;
-            let mut fetch = || {
-                n += 1;
-                Instr {
-                    ip: Ip::new(0x400 + n),
-                    kind: InstrKind::Load {
-                        addr: Addr::new(0x1000 + 64 * n),
-                        serialized: true,
-                    },
-                }
-            };
-            core.tick(0, &mut fetch, &mut port);
-            assert_eq!(core.next_activity(1), None);
-            cores.push(core);
-        }
-        let (mut stepped, mut skipped) = (cores.remove(0), cores.remove(0));
-        let mut port = TestPort::new();
-        let mut fetch = || unreachable!("a blocked core never fetches");
-        for now in 1..=100u64 {
-            stepped.tick(now, &mut fetch, &mut port);
-        }
-        skipped.skip_stalled(1, 100);
-        assert_eq!(stepped.stats(), skipped.stats());
-        let fp = |c: &Core| {
-            let mut h = Fnv64::new();
-            c.fingerprint(&mut h);
-            h.finish()
-        };
-        assert_eq!(fp(&stepped), fp(&skipped));
-        for c in [&mut stepped, &mut skipped] {
-            c.complete_load(ReqId(1), MemLevel::Dram, 101).unwrap();
-            let mut resume_port = TestPort::new();
-            resume_port.next = 1;
-            let mut n = 100u64;
-            let mut fetch = || {
-                n += 1;
-                Instr {
-                    ip: Ip::new(0x400 + n),
-                    kind: InstrKind::Load {
-                        addr: Addr::new(0x1000 + 64 * n),
-                        serialized: true,
-                    },
-                }
-            };
-            c.tick(101, &mut fetch, &mut resume_port);
-        }
-        assert_eq!(stepped.stats(), skipped.stats());
-        assert_eq!(fp(&stepped), fp(&skipped));
-        assert!(stepped.retired() > 0, "the chase resumed");
     }
 
     #[test]

@@ -65,9 +65,8 @@ impl std::error::Error for QueueFullError {}
 
 /// The surface every memory backend exposes to the simulator, mirroring
 /// `NocModel` on the fabric side: request admission with back-pressure,
-/// per-cycle progress, the quiescence hook the event wheel relies on,
-/// bulk idle-span accounting, statistics, the conservation audit, and
-/// fault injection.
+/// per-cycle progress, statistics, the conservation audit, and fault
+/// injection.
 ///
 /// # Contracts
 ///
@@ -76,13 +75,6 @@ impl std::error::Error for QueueFullError {}
 ///   [`DramModel::tick`]; [`DramModel::audit`] must detect any loss or
 ///   duplication (this is what makes
 ///   [`DramModel::inject_swallow_completion`] catchable).
-/// * **Quiescence** — [`DramModel::next_activity`] returns the earliest
-///   cycle `>= now` at which `tick` would do externally visible work, or
-///   `None` when fully idle. It may be conservative (early) but never
-///   late: skipping to the reported cycle and ticking must be
-///   bit-identical to ticking every cycle of the span, with
-///   [`DramModel::skip_idle`] settling whatever bulk accounting the
-///   skipped ticks would have done.
 /// * **Determinism** — no interior randomness; identical call sequences
 ///   produce identical state, completions, and statistics.
 pub trait DramModel {
@@ -123,13 +115,6 @@ pub trait DramModel {
     /// Advances all channels by one cycle, returning reads whose data is
     /// now available.
     fn tick(&mut self, now: Cycle) -> Vec<DramCompletion>;
-
-    /// Quiescence hook (see the trait-level contract).
-    fn next_activity(&self, now: Cycle) -> Option<Cycle>;
-
-    /// Bulk accounting for a skipped idle span `[from, to)` during which
-    /// [`DramModel::next_activity`] reported no work.
-    fn skip_idle(&mut self, from: Cycle, to: Cycle);
 
     /// Per-channel statistics.
     fn stats(&self, channel: usize) -> &ChannelStats;
@@ -453,94 +438,6 @@ impl DramSystem {
         });
     }
 
-    /// Quiescence hook: the earliest cycle `>= now` at which `tick` does
-    /// anything beyond counting bus-busy cycles (which [`DramSystem::skip_idle`]
-    /// settles in bulk), or `None` when every channel is empty.
-    ///
-    /// A queued read or write can only turn into a command once the data
-    /// bus frees (`bus_free_at`) **and** a bank serving the prioritized
-    /// queue frees — while a burst occupies the bus or every candidate
-    /// bank is mid-access, a tick delivers completions (folded below),
-    /// updates the write-drain hysteresis (constant-queue idempotent;
-    /// settled by [`DramSystem::skip_idle`]), and counts the cycle busy,
-    /// nothing else. During a skipped span nothing enqueues (external
-    /// traffic only arrives on ticked cycles), so queue contents — and
-    /// therefore the serve-writes decision and the candidate bank set —
-    /// are constant, and the earliest `busy_until` among candidate banks
-    /// is exactly the next cycle arbitration can act. With empty queues
-    /// the only future activity is a scheduled completion or, when
-    /// refresh is modelled (`t_refi > 0`), the next all-bank refresh.
-    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let mut next: Option<Cycle> = None;
-        let mut fold = |c: Cycle| next = Some(next.map_or(c, |n: Cycle| n.min(c)));
-        let lines_per_row = self.lines_per_row;
-        let banks = self.cfg.banks_per_channel;
-        let (wn, wd) = self.cfg.write_watermark;
-        for ch in &self.channels {
-            if !ch.read_q.is_empty() || !ch.write_q.is_empty() {
-                if ch.bus_free_at > now {
-                    fold(ch.bus_free_at);
-                } else {
-                    // Bus free: the next command issues when a candidate
-                    // bank frees. The hysteresis value a tick would see
-                    // (enter at watermark, leave empty) picks the queue.
-                    let draining = if ch.write_q.len() * wd >= self.cfg.write_queue * wn {
-                        true
-                    } else if ch.write_q.is_empty() {
-                        false
-                    } else {
-                        ch.draining
-                    };
-                    let bank_of = |line: LineAddr| {
-                        (clip_types::hash64(line.raw() / lines_per_row) as usize) % banks
-                    };
-                    let earliest = if draining || ch.read_q.is_empty() {
-                        ch.write_q
-                            .iter()
-                            .map(|w| ch.banks[bank_of(w.line)].busy_until)
-                            .min()
-                    } else {
-                        ch.read_q
-                            .iter()
-                            .map(|r| ch.banks[bank_of(r.line)].busy_until)
-                            .min()
-                    };
-                    if let Some(c) = earliest {
-                        fold(c.max(now));
-                    }
-                }
-            }
-            for c in &ch.inflight {
-                fold(c.done_cycle.max(now));
-            }
-            if self.cfg.t_refi > 0 {
-                fold(ch.next_refresh.max(now));
-            }
-        }
-        next
-    }
-
-    /// Bulk accounting for a skipped idle span `[from, to)` during which
-    /// [`DramSystem::next_activity`] reported no work: each channel whose
-    /// data bus was still draining a burst counts those cycles busy, and
-    /// the write-drain hysteresis settles exactly as a run of ticks over
-    /// a constant-length queue would (enter at the watermark, leave
-    /// empty — idempotent, so once equals many). After this, channel
-    /// state is bit-identical to having ticked every cycle of the span.
-    pub fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-        let (wn, wd) = self.cfg.write_watermark;
-        for ch in self.channels.iter_mut() {
-            if ch.bus_free_at > from {
-                ch.stats.busy_cycles += ch.bus_free_at.min(to) - from;
-            }
-            if ch.write_q.len() * wd >= self.cfg.write_queue * wn {
-                ch.draining = true;
-            } else if ch.write_q.is_empty() {
-                ch.draining = false;
-            }
-        }
-    }
-
     fn access_latency(cfg: &DramConfig, bank: &Bank, row: u64) -> Cycle {
         match bank.open_row {
             Some(open) if open == row => cfg.t_cas,
@@ -702,12 +599,6 @@ impl DramModel for DramSystem {
     fn tick(&mut self, now: Cycle) -> Vec<DramCompletion> {
         DramSystem::tick(self, now)
     }
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        DramSystem::next_activity(self, now)
-    }
-    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-        DramSystem::skip_idle(self, from, to)
-    }
     fn stats(&self, channel: usize) -> &ChannelStats {
         DramSystem::stats(self, channel)
     }
@@ -769,8 +660,7 @@ impl DramModel for DramSystem {
 ///
 /// Internally the shared machinery runs with refresh disabled
 /// (`t_refi = 0`) and this wrapper owns the per-bank schedule, so the
-/// conservation/quiescence contracts are inherited rather than
-/// re-implemented.
+/// conservation contract is inherited rather than re-implemented.
 #[derive(Debug, Clone)]
 pub struct HbmDram {
     inner: DramSystem,
@@ -860,24 +750,6 @@ impl DramModel for HbmDram {
     fn tick(&mut self, now: Cycle) -> Vec<DramCompletion> {
         self.refresh_due_banks(now);
         self.inner.tick(now)
-    }
-    /// Inherits the shared machinery's quiescence reasoning and folds in
-    /// the per-bank refresh schedule, so a skipped span never jumps over
-    /// a refresh boundary.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let mut next = self.inner.next_activity(now);
-        if self.t_refi > 0 {
-            for banks in &self.next_refresh {
-                for &r in banks {
-                    let r = r.max(now);
-                    next = Some(next.map_or(r, |n| n.min(r)));
-                }
-            }
-        }
-        next
-    }
-    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-        self.inner.skip_idle(from, to)
     }
     fn stats(&self, channel: usize) -> &ChannelStats {
         self.inner.stats(channel)
@@ -1158,54 +1030,6 @@ mod tests {
     }
 
     #[test]
-    fn quiescence_reports_completion_and_refresh() {
-        let mut d = sys(1);
-        assert_eq!(d.next_activity(0), None, "empty controller is idle");
-        d.enqueue_read(0, ReqId(1), LineAddr::new(7), Priority::Demand, 0)
-            .unwrap();
-        assert_eq!(d.next_activity(0), Some(0), "queued read is work now");
-        // Issue the read; once in flight with an empty queue, the next
-        // activity is exactly the completion cycle (110, see above).
-        d.tick(0);
-        assert_eq!(d.next_activity(1), Some(110));
-        let cfg = DramConfig {
-            channels: 1,
-            t_refi: 500,
-            ..DramConfig::default()
-        };
-        let d2 = DramSystem::new(&cfg);
-        assert_eq!(
-            d2.next_activity(0),
-            Some(500),
-            "refresh is an activity source"
-        );
-    }
-
-    #[test]
-    fn skip_idle_matches_ticked_idle_span() {
-        // Two identical controllers issue one read each, then one ticks
-        // through the dead wait while the other skips it; stats and the
-        // delivered completion must agree bit-for-bit.
-        let mut stepped = sys(1);
-        let mut skipped = sys(1);
-        for d in [&mut stepped, &mut skipped] {
-            d.enqueue_read(0, ReqId(1), LineAddr::new(7), Priority::Demand, 0)
-                .unwrap();
-            d.tick(0); // issues the read; bus busy, completion at 110.
-        }
-        let next = skipped.next_activity(1).expect("completion pending");
-        let mut stepped_done = Vec::new();
-        for now in 1..=next {
-            stepped_done.extend(stepped.tick(now));
-        }
-        skipped.skip_idle(1, next);
-        let skipped_done = skipped.tick(next);
-        assert_eq!(stepped_done, skipped_done);
-        assert_eq!(stepped.total_stats(), skipped.total_stats());
-        assert_eq!(skipped.audit(next, true), Ok(()));
-    }
-
-    #[test]
     fn channel_mapping_is_stable_and_in_range() {
         let d = sys(8);
         for i in 0..1000u64 {
@@ -1269,54 +1093,6 @@ mod tests {
             max_blocked <= 1,
             "rolling refresh must not gang-block banks, saw {max_blocked}"
         );
-    }
-
-    #[test]
-    fn hbm_quiescence_reports_refresh_and_completion() {
-        let mut d = HbmDram::new(&hbm_cfg(1, 32_000));
-        // Idle: the only activity is the first staggered bank refresh.
-        let first = d.next_activity(0).expect("refresh is an activity source");
-        assert_eq!(first, 32_000 / 32, "first stagger slot");
-        d.enqueue_read(0, ReqId(1), LineAddr::new(7), Priority::Demand, 0)
-            .unwrap();
-        assert_eq!(d.next_activity(0), Some(0), "queued read is work now");
-        d.tick(0);
-        // In flight: completion at 132 beats the refresh schedule.
-        assert_eq!(d.next_activity(1), Some(132));
-    }
-
-    #[test]
-    fn hbm_skip_idle_matches_ticked_idle_span_across_refreshes() {
-        // Wheel-style driving (skip to next_activity, settle, tick) must
-        // be bit-identical to grinding every cycle — including refresh
-        // boundaries, which next_activity folds in.
-        let cfg = hbm_cfg(1, 2_000);
-        let mut stepped = HbmDram::new(&cfg);
-        let mut wheeled = HbmDram::new(&cfg);
-        for d in [&mut stepped, &mut wheeled] {
-            d.enqueue_read(0, ReqId(1), LineAddr::new(7), Priority::Demand, 0)
-                .unwrap();
-        }
-        let horizon = 10_000u64;
-        let mut stepped_done = run_model(&mut stepped, 0, horizon);
-        stepped_done.sort_by_key(|c| c.done_cycle);
-
-        let mut wheeled_done = Vec::new();
-        let mut now = 0u64;
-        while now < horizon {
-            wheeled_done.extend(wheeled.tick(now));
-            match wheeled.next_activity(now + 1) {
-                Some(next) if next < horizon => {
-                    wheeled.skip_idle(now + 1, next);
-                    now = next;
-                }
-                _ => break,
-            }
-        }
-        wheeled_done.sort_by_key(|c| c.done_cycle);
-        assert_eq!(stepped_done, wheeled_done);
-        assert_eq!(stepped.total_stats(), wheeled.total_stats());
-        assert_eq!(wheeled.audit(horizon, false), Ok(()));
     }
 
     #[test]

@@ -84,15 +84,6 @@ pub trait NocModel {
     /// Advances one cycle; returns packets fully delivered this cycle.
     fn tick(&mut self, now: Cycle) -> Vec<Delivered>;
 
-    /// Quiescence hook (see `clip_types::engine::Tick::next_activity`):
-    /// the earliest cycle `>= now` at which `tick` would do anything, or
-    /// `None` when nothing is in flight. Implementations may answer
-    /// conservatively (`Some(now)` whenever anything is buffered); they
-    /// must never claim a later cycle than the true next state change.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        Some(now)
-    }
-
     /// Number of nodes in the network.
     fn nodes(&self) -> usize;
 
@@ -493,20 +484,6 @@ impl NocModel for MeshNoc {
         out
     }
 
-    /// Conservative: any buffered or waiting-to-inject flit keeps the
-    /// mesh active every cycle (wormhole arbitration is stateful enough
-    /// that modelling per-flit ready times here would be fragile); an
-    /// empty fabric is fully idle — `tick` is then a pure no-op.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let busy = self.inject.iter().any(|q| !q.is_empty())
-            || self.routers.iter().any(|r| r.buffered > 0);
-        if busy {
-            Some(now)
-        } else {
-            None
-        }
-    }
-
     fn nodes(&self) -> usize {
         self.routers.len()
     }
@@ -793,13 +770,6 @@ impl NocModel for AnalyticNoc {
         out
     }
 
-    /// Exact: deliveries are fully scheduled at `send` time, so the next
-    /// activity is the earliest pending `done_cycle` (clamped to `now` —
-    /// an overdue delivery fires on the very next tick).
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        self.pending.iter().map(|&(done, _)| done.max(now)).min()
-    }
-
     fn nodes(&self) -> usize {
         self.cfg.mesh_cols * self.cfg.mesh_rows
     }
@@ -868,10 +838,10 @@ impl NocModel for AnalyticNoc {
 /// destination die's ingress port.
 ///
 /// Like [`AnalyticNoc`] this is a link-schedule model: deliveries are
-/// fully scheduled at `send` time, so [`ChipletNoc::next_activity`] is
-/// exact, conservation is `injected == delivered + pending`, and
-/// [`ChipletNoc::inject_drop_flit`] removes a scheduled delivery without
-/// touching the injection count (which the audit then reports). The
+/// fully scheduled at `send` time, so conservation is
+/// `injected == delivered + pending`, and [`ChipletNoc::inject_drop_flit`]
+/// removes a scheduled delivery without touching the injection count
+/// (which the audit then reports). The
 /// narrow crossing is where bandwidth-constrained prefetching bites:
 /// inter-die prefetch traffic queues behind demand traffic on the d2d
 /// ports, moving the bandwidth cliff the paper's argument rests on.
@@ -1022,13 +992,6 @@ impl NocModel for ChipletNoc {
             }
         }
         out
-    }
-
-    /// Exact, like [`AnalyticNoc`]: deliveries are fully scheduled at
-    /// `send` time, so the next activity is the earliest pending
-    /// `done_cycle` (clamped to `now`).
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        self.pending.iter().map(|&(done, _)| done.max(now)).min()
     }
 
     fn nodes(&self) -> usize {
@@ -1329,36 +1292,6 @@ mod tests {
     }
 
     #[test]
-    fn mesh_quiescence_tracks_traffic() {
-        let mut noc = MeshNoc::new(&cfg());
-        assert_eq!(noc.next_activity(0), None, "empty fabric is idle");
-        noc.send(0, 63, 4, Priority::Demand, 1, 0).unwrap();
-        assert_eq!(noc.next_activity(0), Some(0), "queued injection is work");
-        let _ = drain(&mut noc, 300);
-        assert_eq!(noc.next_activity(300), None, "drained fabric is idle again");
-    }
-
-    #[test]
-    fn analytic_quiescence_reports_exact_delivery_cycle() {
-        let mut ana = AnalyticNoc::new(&cfg());
-        assert_eq!(ana.next_activity(0), None);
-        ana.send(0, 63, 4, Priority::Demand, 1, 0).unwrap();
-        let next = ana.next_activity(0).expect("a delivery is pending");
-        assert!(next > 0, "uncontended cross-mesh delivery takes cycles");
-        // Nothing happens before the claimed cycle; the delivery lands
-        // exactly there.
-        for now in 0..next {
-            assert!(ana.tick(now).is_empty(), "cycle {now} must be dead");
-        }
-        assert_eq!(ana.tick(next).len(), 1);
-        assert_eq!(ana.next_activity(next + 1), None);
-        // An overdue pending delivery clamps to `now`.
-        ana.send(0, 1, 1, Priority::Demand, 2, next).unwrap();
-        let due = ana.next_activity(next).unwrap();
-        assert_eq!(ana.next_activity(due + 50), Some(due + 50));
-    }
-
-    #[test]
     fn route_is_xy() {
         let noc = MeshNoc::new(&cfg());
         // From node 0 (0,0) to node 63 (7,7): go east first.
@@ -1462,20 +1395,6 @@ mod tests {
             total_latency(Priority::Prefetch) > total_latency(Priority::Demand),
             "plain prefetches must yield on the crossing"
         );
-    }
-
-    #[test]
-    fn chiplet_quiescence_is_exact() {
-        let mut noc = ChipletNoc::new(&chiplet_cfg());
-        assert_eq!(noc.next_activity(0), None, "empty fabric is idle");
-        noc.send(0, 63, 4, Priority::Demand, 1, 0).unwrap();
-        let next = noc.next_activity(0).expect("a delivery is pending");
-        assert!(next > chiplet_cfg().d2d_latency, "crossing takes cycles");
-        for now in 0..next {
-            assert!(noc.tick(now).is_empty(), "cycle {now} must be dead");
-        }
-        assert_eq!(noc.tick(next).len(), 1);
-        assert_eq!(noc.next_activity(next + 1), None);
     }
 
     #[test]

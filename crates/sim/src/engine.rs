@@ -1,4 +1,4 @@
-//! The engine: transaction slab, event wheel, clock, and the clocked
+//! The engine: transaction slab, event ring, clock, and the clocked
 //! NoC/DRAM components, plus the memory-controller message handlers.
 //!
 //! [`Engine`] owns everything that is *shared* between tiles — the NoC,
@@ -17,8 +17,7 @@ use clip_types::{
     Channel, Cycle, DramConfig, DramKind, Ip, LineAddr, MemLevel, Priority, ReqId, SimClock,
     SimConfig, Tick,
 };
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 pub(crate) const EVENT_RING: usize = 1 << 15;
 pub(crate) const RETRY_DELAY: Cycle = 4;
@@ -88,9 +87,6 @@ impl NocModel for NocImpl {
     }
     fn tick(&mut self, now: Cycle) -> Vec<Delivered> {
         self.as_model().tick(now)
-    }
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        self.as_model_ref().next_activity(now)
     }
     fn nodes(&self) -> usize {
         self.as_model_ref().nodes()
@@ -176,12 +172,6 @@ impl DramModel for DramImpl {
     fn tick(&mut self, now: Cycle) -> Vec<DramCompletion> {
         self.as_model().tick(now)
     }
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        self.as_model_ref().next_activity(now)
-    }
-    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-        self.as_model().skip_idle(from, to);
-    }
     fn stats(&self, channel: usize) -> &ChannelStats {
         self.as_model_ref().stats(channel)
     }
@@ -216,10 +206,6 @@ impl<N: NocModel> Tick for ClockedNoc<N> {
             self.delivered.push(d);
         }
     }
-
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        merge_activity(self.delivered.activity(now), self.model.next_activity(now))
-    }
 }
 
 /// The DRAM channels as a clocked component: each [`Tick::tick`]
@@ -235,18 +221,6 @@ impl<D: DramModel> Tick for ClockedDram<D> {
         for c in self.mem.tick(now) {
             self.completed.push(c);
         }
-    }
-
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        merge_activity(self.completed.activity(now), self.mem.next_activity(now))
-    }
-}
-
-/// Minimum over two optional wake-up cycles (`None` = no wake-up).
-pub(crate) fn merge_activity(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, y) => x.or(y),
     }
 }
 
@@ -337,9 +311,9 @@ impl EngineParams {
 }
 
 /// Shared (non-tile) simulator state: clock, interconnect, memory,
-/// transactions, and the event wheel. The engine owns the whole uncore
-/// state machine — message handlers included — so it can answer "when is
-/// the next interesting uncore cycle?" for the skip-ahead scheduler.
+/// transactions, and the event ring. The engine owns the whole uncore
+/// state machine — message handlers included — so the uncore message
+/// flow never needs a tile borrow.
 pub(crate) struct Engine {
     pub(crate) params: EngineParams,
     pub(crate) clock: SimClock,
@@ -351,9 +325,6 @@ pub(crate) struct Engine {
     ring: Vec<Vec<Ev>>,
     /// Events currently on the ring (O(1) view for the watchdog).
     events_pending: usize,
-    /// Fire cycles of ring events, lazily pruned: the scheduler peeks the
-    /// minimum to bound a skip without scanning all `EVENT_RING` slots.
-    event_heap: BinaryHeap<Reverse<Cycle>>,
     /// Per-node injection outboxes (FIFO behind a refused packet).
     outbox: Vec<Channel<OutMsg>>,
     next_req: u64,
@@ -384,7 +355,6 @@ impl Engine {
             free_txns: Vec::new(),
             ring: (0..EVENT_RING).map(|_| Vec::new()).collect(),
             events_pending: 0,
-            event_heap: BinaryHeap::new(),
             outbox: (0..params.nodes).map(|_| Channel::new()).collect(),
             next_req: 1,
             probe_map: HashMap::new(),
@@ -435,10 +405,9 @@ impl Engine {
         debug_assert!(at - now < EVENT_RING as u64, "event beyond ring horizon");
         self.ring[(at as usize) % EVENT_RING].push(ev);
         self.events_pending += 1;
-        self.event_heap.push(Reverse(at));
     }
 
-    /// Takes this cycle's scheduled events off the wheel.
+    /// Takes this cycle's scheduled events off the ring.
     pub(crate) fn take_events(&mut self) -> Vec<Ev> {
         let now = self.clock.now();
         let evs = std::mem::take(&mut self.ring[(now as usize) % EVENT_RING]);
@@ -448,44 +417,6 @@ impl Engine {
 
     pub(crate) fn pending_events(&self) -> usize {
         self.events_pending
-    }
-
-    /// The earliest cycle `>= now` with a ring event due, pruning heap
-    /// entries for cycles that already fired.
-    pub(crate) fn next_event_cycle(&mut self, now: Cycle) -> Option<Cycle> {
-        while let Some(&Reverse(c)) = self.event_heap.peek() {
-            if c < now {
-                self.event_heap.pop();
-            } else {
-                return Some(c);
-            }
-        }
-        None
-    }
-
-    /// The earliest cycle `>= now` at which the uncore — NoC, DRAM, LLC,
-    /// spilled outbox packets, or a ring event — does real work, or
-    /// `None` when the whole uncore is idle until a tile stimulates it.
-    pub(crate) fn next_activity(&mut self, now: Cycle) -> Option<Cycle> {
-        // Cheapest sources first, bailing the moment one says "busy now":
-        // this runs on every scheduler decision, and the LLC ring scan is
-        // by far the priciest answer.
-        let mut next = self.next_event_cycle(now);
-        if next == Some(now) {
-            return next;
-        }
-        if self.outbox_backlog() > 0 {
-            return Some(now);
-        }
-        next = merge_activity(next, self.dram.next_activity(now));
-        if next == Some(now) {
-            return next;
-        }
-        next = merge_activity(next, self.noc.next_activity(now));
-        if next == Some(now) {
-            return next;
-        }
-        merge_activity(next, self.llc.next_activity(now))
     }
 
     pub(crate) fn outbox_backlog(&self) -> usize {
@@ -586,7 +517,7 @@ impl Engine {
     }
 
     /// O(1)-balance variant of [`Engine::fingerprint_txns`] for `cheap`
-    /// check runs: live-transaction count and wheel/outbox occupancy.
+    /// check runs: live-transaction count and ring/outbox occupancy.
     pub(crate) fn fingerprint_txns_cheap(&self, h: &mut clip_types::Fnv64) {
         h.write_usize(self.live_txns())
             .write_usize(self.events_pending)
@@ -717,7 +648,7 @@ impl Engine {
     }
 
     /// Enqueues a dirty-line write at its controller, retrying through
-    /// the event wheel when the write queue is full.
+    /// the event ring when the write queue is full.
     pub(crate) fn wb_dram(&mut self, line: LineAddr, now: Cycle) {
         if self.dram.mem.enqueue_write(line, now).is_err() {
             self.schedule(now + RETRY_DELAY * 2, Ev::WbDram { line });

@@ -214,9 +214,9 @@ impl System {
     }
 
     /// Trips [`SimErrorKind::Timeout`] once the armed wall-clock budget is
-    /// spent. Checked only at audit-cadence boundaries so the skip-ahead
-    /// scheduler, the step oracle, and the parallel driver all observe the
-    /// deadline at the same simulated cycle; runs independently of the
+    /// spent. Checked only at audit-cadence boundaries so serial and
+    /// parallel runs on any host observe the deadline at the same
+    /// simulated cycle; runs independently of the
     /// [`CheckLevel`] (a watchdog for the *host*, not the model).
     pub(crate) fn deadline_tick(&self, now: Cycle) -> Result<(), SimError> {
         let Some(d) = self.deadline.as_ref() else {

@@ -52,39 +52,7 @@ pub use system::System;
 
 use clip_trace::Mix;
 use clip_types::{knob, Cycle, SimConfig};
-use std::cell::Cell;
 use std::time::{Duration, Instant};
-
-thread_local! {
-    /// Per-thread override of the tick-scheduling mode (see
-    /// [`set_step_override`]).
-    static STEP_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// Forces (`Some(true)`) or suppresses (`Some(false)`) cycle-by-cycle
-/// ticking on the current thread, overriding the `CLIP_TICK` environment
-/// variable; `None` restores the environment-driven default.
-///
-/// The event-wheel scheduler skips quiescent cycle spans by default and
-/// is bit-for-bit identical to cycle-by-cycle execution; `CLIP_TICK=step`
-/// (or this override) forces the legacy every-cycle loop — the reference
-/// behaviour the skip-ahead determinism suite compares against. The mode
-/// is deliberately *not* a [`RunOptions`] field: options participate in
-/// sweep cache keys, and a scheduling strategy that cannot change results
-/// must not fragment them.
-pub fn set_step_override(v: Option<bool>) {
-    STEP_OVERRIDE.with(|s| s.set(v));
-}
-
-/// Resolves the tick mode for this thread: override first, then
-/// `CLIP_TICK` (`step` = cycle-by-cycle; `wheel` or unset = event
-/// wheel; anything else warns once and falls back to the wheel).
-pub(crate) fn step_mode() -> bool {
-    if let Some(v) = STEP_OVERRIDE.with(|s| s.get()) {
-        return v;
-    }
-    knob::env_choice("CLIP_TICK", &["step", "wheel"]) == Some("step")
-}
 
 /// Options controlling one simulation run.
 #[derive(Clone)]
@@ -335,27 +303,20 @@ pub fn run_jobs_checked(jobs: &[SweepJob], opts: &RunOptions) -> Vec<Result<SimR
         return jobs.iter().map(run_one).collect();
     }
 
-    // Thread-locals do not propagate into spawned workers: resolve the
-    // tick mode here and pin it in each worker so a per-thread override
-    // (the determinism suite) behaves identically serial and parallel.
-    let step = step_mode();
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<SimResult, SimError>>>> =
         jobs.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|| {
-                set_step_override(Some(step));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    // A poisoned slot is recoverable: the panic that
-                    // poisoned it was already converted into this job's
-                    // outcome.
-                    *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(run_one(&jobs[i]));
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= jobs.len() {
+                    break;
                 }
+                // A poisoned slot is recoverable: the panic that
+                // poisoned it was already converted into this job's
+                // outcome.
+                *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(run_one(&jobs[i]));
             });
         }
     });

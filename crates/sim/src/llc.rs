@@ -22,7 +22,7 @@ const LLC_RING: usize = 256;
 pub(crate) struct ClockedLlc {
     slices: Vec<Cache>,
     mshrs: Vec<MshrFile>,
-    /// Lookup wheel: slot `c % LLC_RING` holds transactions whose slice
+    /// Lookup ring: slot `c % LLC_RING` holds transactions whose slice
     /// access completes at cycle `c`.
     ring: Vec<Vec<TxnId>>,
     /// Lookups whose slice latency elapsed this cycle.
@@ -48,7 +48,7 @@ impl ClockedLlc {
     }
 
     /// Schedules a slice lookup to complete `delay` cycles from `now`
-    /// (at least one cycle out, like the engine's event wheel).
+    /// (at least one cycle out, like the engine's event ring).
     pub(crate) fn schedule_lookup(&mut self, txn: TxnId, now: Cycle, delay: Cycle) {
         let at = (now + delay).max(now + 1);
         debug_assert!(at - now < LLC_RING as u64, "lookup beyond LLC ring horizon");
@@ -189,22 +189,6 @@ impl Tick for ClockedLlc {
             self.fired += 1;
         }
     }
-
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        if !self.ready.is_empty() {
-            return Some(now);
-        }
-        if self.scheduled == self.fired {
-            return None; // nothing on the lookup ring
-        }
-        // Ring occupancy is tiny (LLC_RING slots): scan forward from `now`
-        // for the first occupied slot. Every pending lookup is within one
-        // ring revolution (enforced at schedule time), so the first
-        // occupied slot is the earliest due cycle.
-        (0..LLC_RING as u64)
-            .find(|k| !self.ring[((now + k) as usize) % LLC_RING].is_empty())
-            .map(|k| now + k)
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -214,7 +198,7 @@ impl Tick for ClockedLlc {
 impl Engine {
     /// A slice lookup whose access latency elapsed: hit → respond to the
     /// tile; miss → allocate an MSHR and request the line from DRAM,
-    /// retrying through the LLC's own wheel under MSHR back-pressure.
+    /// retrying through the LLC's own ring under MSHR back-pressure.
     pub(crate) fn llc_lookup(&mut self, txn: TxnId, now: Cycle) {
         let tx: Txn = self.txns[txn as usize];
         let home = self.home_of(tx.line);

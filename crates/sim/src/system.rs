@@ -2,7 +2,7 @@
 //!
 //! `System` composes the per-core tiles ([`crate::tile`]) and the
 //! [`Engine`] (clock, NoC, DRAM, the clocked LLC — [`crate::llc`] —
-//! transactions, event wheel). Demand and prefetch requests flow
+//! transactions, event ring). Demand and prefetch requests flow
 //! L1D → L2 → (NoC) → LLC slice → (NoC) → DRAM channel and back, with
 //! MSHRs at every level providing merging and back-pressure. All the
 //! contention the paper depends on is modeled: finite MSHRs, NoC link/VC
@@ -211,7 +211,7 @@ impl System {
 
     /// Advances the whole system one cycle: spilled packets re-inject,
     /// the clocked NoC, DRAM and LLC components tick and their output
-    /// channels drain into the uncore handlers, the event wheel fires,
+    /// channels drain into the uncore handlers, the event ring fires,
     /// and every tile ticks (prefetch issue + core).
     pub fn tick(&mut self) {
         let now = self.engine.now();
@@ -261,7 +261,7 @@ impl System {
         self.engine.clock.advance();
     }
 
-    /// Dispatches one event-wheel entry. Tile-facing events (responses,
+    /// Dispatches one event-ring entry. Tile-facing events (responses,
     /// L2 lookups, data returns) need tile state and stay here; the
     /// uncore events forward to the [`Engine`], which owns those paths.
     pub(crate) fn handle_event(&mut self, ev: Ev) {
@@ -274,119 +274,6 @@ impl System {
             Ev::TileData { txn } => self.tile_data(txn, now),
             Ev::DramEnqueue { txn } => self.engine.dram_enqueue(txn, now),
             Ev::WbDram { line } => self.engine.wb_dram(line, now),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // The skip-ahead scheduler.
-    // ------------------------------------------------------------------
-
-    /// The earliest cycle `>= now` that must actually be simulated: the
-    /// minimum over every component's [`Tick::next_activity`] answer and
-    /// the engine-level wheel constraints (periodic controllers, audit
-    /// cadence, timeline sampling, the armed fault's trigger cycle).
-    /// Always finite — the DSPatch epoch recurs every `DSPATCH_EPOCH`
-    /// cycles and mutates controller state unconditionally, so no skip
-    /// ever exceeds one epoch.
-    fn next_interesting(&mut self, in_measure: bool, debug_stall: bool) -> Cycle {
-        let now = self.engine.now();
-        // Periodic controllers fire on every positive multiple of
-        // DSPATCH_EPOCH (THROTTLE_EPOCH is a multiple of it).
-        let mut next = if now == 0 {
-            DSPATCH_EPOCH
-        } else {
-            now.next_multiple_of(DSPATCH_EPOCH)
-        };
-        let fold = |cand: Cycle, next: &mut Cycle| {
-            if cand < *next {
-                *next = cand;
-            }
-        };
-        // Audits + watchdog + fingerprints run post-advance at cadence
-        // multiples: simulating cycle `m - 1` makes `integrity_tick(m)`
-        // fire exactly as in a cycle-by-cycle run. An armed deadline
-        // shares those boundaries (even at `CLIP_CHECK=off`), so it trips
-        // at the same simulated cycle under skip-ahead and stepping.
-        if self.integrity.level.audits_enabled() || self.deadline.is_some() {
-            fold(
-                (now + 1).next_multiple_of(self.integrity.cadence) - 1,
-                &mut next,
-            );
-        }
-        // Timeline samples are taken post-advance at interval multiples
-        // relative to the measurement start.
-        if in_measure && self.timeline_interval > 0 {
-            let rel = (now + 1).saturating_sub(self.tl_start);
-            fold(
-                self.tl_start + rel.next_multiple_of(self.timeline_interval) - 1,
-                &mut next,
-            );
-        }
-        // CLIP_DEBUG_STALL dumps post-advance every 100k cycles.
-        if debug_stall {
-            fold((now + 1).next_multiple_of(100_000) - 1, &mut next);
-        }
-        // An armed, unfired fault must attempt injection at its trigger
-        // cycle and then on *every* later cycle until it lands: the
-        // selector draws from the seeded RNG per attempt, so skipping
-        // retries would desynchronize it from a cycle-by-cycle run.
-        if let Some(f) = self.fault.as_ref() {
-            if f.fired.is_none() {
-                fold(f.spec.at.max(now), &mut next);
-            }
-        }
-        // Component answers are always `>= now`, so the fold can never go
-        // below `now`: bail out the moment any source pins the minimum
-        // there — every later scan is pure overhead.
-        if let Some(c) = self.engine.next_activity(now) {
-            fold(c, &mut next);
-            if next == now {
-                return now;
-            }
-        }
-        for t in &self.tiles {
-            if let Some(c) = t.next_activity(now) {
-                fold(c, &mut next);
-                if next == now {
-                    return now;
-                }
-            }
-        }
-        next
-    }
-
-    /// Advances the clock straight to `target`, settling the per-cycle
-    /// bulk accounting the skipped ticks would have done (core stall /
-    /// dispatch-block counters, the DRAM bus-busy tail). Only sound when
-    /// every cycle in `now..target` is quiescent per
-    /// [`System::next_interesting`].
-    fn skip_to(&mut self, target: Cycle) {
-        let now = self.engine.now();
-        debug_assert!(target > now);
-        let span = target - now;
-        for t in self.tiles.iter_mut() {
-            t.core
-                .as_mut()
-                .expect("core present")
-                .skip_stalled(now, span);
-        }
-        self.engine.dram.mem.skip_idle(now, target);
-        self.engine.clock.advance_to(target);
-    }
-
-    /// One scheduler step: when the next interesting cycle is in the
-    /// future, skip straight to it (capped at `max_cycles`) and report
-    /// `true`; otherwise the current cycle must be ticked.
-    fn try_skip(&mut self, max_cycles: Cycle, in_measure: bool, debug_stall: bool) -> bool {
-        let now = self.engine.now();
-        let target = self
-            .next_interesting(in_measure, debug_stall)
-            .min(max_cycles);
-        if target > now {
-            self.skip_to(target);
-            true
-        } else {
-            false
         }
     }
 
@@ -602,7 +489,6 @@ impl System {
     ) -> Result<SimResult, SimError> {
         // Warmup phase.
         let debug_stall = std::env::var("CLIP_DEBUG_STALL").is_ok();
-        let step = crate::step_mode();
         while self.cycle() < max_cycles {
             if self
                 .tiles
@@ -610,9 +496,6 @@ impl System {
                 .all(|t| t.core.as_ref().expect("core present").retired() >= warmup)
             {
                 break;
-            }
-            if !step && self.try_skip(max_cycles, false, debug_stall) {
-                continue;
             }
             self.tick();
             self.integrity_tick(self.cycle())?;
@@ -651,9 +534,6 @@ impl System {
             }
             if all_done {
                 break;
-            }
-            if !step && self.try_skip(max_cycles, true, false) {
-                continue;
             }
             self.tick();
             self.integrity_tick(self.cycle())?;

@@ -203,17 +203,6 @@ impl Tile {
         Ok(())
     }
 
-    /// The earliest cycle `>= now` at which ticking this tile does real
-    /// work: a queued prefetch wants issuing, or the core's dispatch /
-    /// retire side has something to do (see [`Core::next_activity`]).
-    /// `None` means the tile only wakes on a load completion.
-    pub(crate) fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        crate::engine::merge_activity(
-            self.pf_queue.activity(now),
-            self.core.as_ref().expect("core present").next_activity(now),
-        )
-    }
-
     /// Folds the tile's architectural + queue state (core, both private
     /// MSHR files, prefetch queue) into a state fingerprint.
     pub(crate) fn fingerprint(&self, h: &mut clip_types::Fnv64) {

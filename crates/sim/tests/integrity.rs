@@ -430,6 +430,31 @@ fn watchdog_tolerates_slow_but_live_configurations() {
 }
 
 #[test]
+fn tight_watchdog_window_passes_a_stall_heavy_run() {
+    // False-positive regression: one DRAM channel under pointer-chasing
+    // mcf cores stalls for long stretches with work in flight. A watchdog
+    // window far smaller than the run must still see global progress in
+    // every window and let the clean run complete.
+    let window = 20_000;
+    let opts = RunOptions {
+        warmup_instrs: 400,
+        sim_instrs: 2_000,
+        seed: 11,
+        check: Some(CheckLevel::Full),
+        check_cadence: 256,
+        watchdog_window: window,
+        ..RunOptions::default()
+    };
+    let r = run_mix_checked(&cfg(4), &Scheme::plain(), &mix(4), &opts)
+        .expect("a tight watchdog must not trip on a clean run");
+    assert!(
+        r.cycles > 2 * window,
+        "the run must outlast the watchdog window: {} cycles",
+        r.cycles
+    );
+}
+
+#[test]
 fn fault_injection_is_deterministic_serial_vs_parallel() {
     let opts = faulted(FaultKind::SwallowDramCompletion, 1_000, NocChoice::Analytic);
     let c = cfg(4);

@@ -4,17 +4,15 @@
 //! exhausted at the very first boundary on any host, so a
 //! `deadline: Some(Duration::ZERO)` run must produce the **same**
 //! `SimError` — cycle, component, detail, everything — no matter the
-//! machine, the worker-thread count, or the scheduler (event wheel vs
-//! cycle-by-cycle stepping). Timed-out cells must also leave sibling
-//! jobs untouched: the clean jobs in the same batch stay byte-identical
-//! to a run with no deadline at all.
+//! machine or the worker-thread count. Timed-out cells must also leave
+//! sibling jobs untouched: the clean jobs in the same batch stay
+//! byte-identical to a run with no deadline at all.
 //!
 //! Env-mutating (`CLIP_THREADS`), so this lives in its own integration
-//! binary with a single `#[test]`, like `skip_determinism`.
+//! binary with a single `#[test]`.
 
 use clip_sim::{
-    run_jobs_checked, set_step_override, CheckLevel, RunOptions, Scheme, SimError, SimErrorKind,
-    SimResult, SweepJob,
+    run_jobs_checked, CheckLevel, RunOptions, Scheme, SimError, SimErrorKind, SimResult, SweepJob,
 };
 use clip_trace::Mix;
 use clip_types::{PrefetcherKind, SimConfig};
@@ -94,17 +92,6 @@ fn zero_deadline_times_out_deterministically_and_spares_siblings() {
         .collect();
     std::env::remove_var("CLIP_THREADS");
     assert_eq!(timed, parallel, "serial vs CLIP_THREADS=2");
-
-    // ... and across schedulers: cycle-by-cycle stepping must trip the
-    // deadline at the identical cycle the wheel does (the cadence
-    // boundary is a wheel constraint whenever a deadline is armed).
-    set_step_override(Some(true));
-    let stepped: Vec<SimError> = run_jobs_checked(&batch, &opts(Some(Duration::ZERO)))
-        .into_iter()
-        .map(|r| r.expect_err("a zero deadline must time out"))
-        .collect();
-    set_step_override(None);
-    assert_eq!(timed, stepped, "wheel vs step");
 
     // Sibling isolation: deadline state carries nothing across runs —
     // re-running the batch cleanly is byte-identical to the reference.

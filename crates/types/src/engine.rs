@@ -27,31 +27,6 @@ use std::collections::VecDeque;
 pub trait Tick {
     /// Advances the component to the end of cycle `now`.
     fn tick(&mut self, now: Cycle);
-
-    /// The earliest cycle `>= now` at which ticking this component does
-    /// anything beyond bulk-accountable bookkeeping, or `None` when the
-    /// component is idle until externally stimulated (a new message on
-    /// one of its ports).
-    ///
-    /// The quiescence contract backing the event-wheel scheduler:
-    ///
-    /// * `Some(c)` with `c == now` — the component is active *this*
-    ///   cycle; it must be ticked.
-    /// * `Some(c)` with `c > now` — every tick in `now..c` is a no-op
-    ///   (or bulk-accountable, e.g. a busy-cycle counter the engine
-    ///   settles before skipping); the engine may advance the clock
-    ///   straight to `c`.
-    /// * `None` — no amount of clock advancement wakes the component;
-    ///   only new port traffic does.
-    ///
-    /// Implementations must answer *honestly but conservatively*: it is
-    /// always correct to return `Some(now)` (the default — components
-    /// that never report quiescence are simply ticked every cycle), but
-    /// claiming a later cycle than the component's true next state
-    /// change breaks bit-exactness of skip-ahead runs.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        Some(now)
-    }
 }
 
 /// An unbounded typed FIFO channel between two components.
@@ -119,18 +94,6 @@ impl<T> Channel<T> {
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.queue.iter()
-    }
-
-    /// Occupancy hook for the [`Tick::next_activity`] contract: a queued
-    /// message means the owning component has work *this* cycle
-    /// (`Some(now)`); an empty channel contributes nothing (`None`).
-    #[inline]
-    pub fn activity(&self, now: Cycle) -> Option<Cycle> {
-        if self.queue.is_empty() {
-            None
-        } else {
-            Some(now)
-        }
     }
 }
 
@@ -204,20 +167,14 @@ impl<T> Port<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.channel.iter()
     }
-
-    /// Occupancy hook for the [`Tick::next_activity`] contract: see
-    /// [`Channel::activity`].
-    #[inline]
-    pub fn activity(&self, now: Cycle) -> Option<Cycle> {
-        self.channel.activity(now)
-    }
 }
 
 /// The lock-step cycle driver.
 ///
 /// Owns the current cycle; components read it, only the engine advances
-/// it. `SimClock` is deliberately dumb — scheduling policy (event wheels,
-/// epochs) lives with the engine that owns the components.
+/// it, one cycle at a time. `SimClock` is deliberately dumb — scheduling
+/// policy (event rings, epochs) lives with the engine that owns the
+/// components.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimClock {
     now: Cycle,
@@ -239,15 +196,6 @@ impl SimClock {
     #[inline]
     pub fn advance(&mut self) -> Cycle {
         self.now += 1;
-        self.now
-    }
-
-    /// Advances directly to `target` (the event-wheel skip). A `target`
-    /// at or before the current cycle is a no-op — the clock never moves
-    /// backwards.
-    #[inline]
-    pub fn advance_to(&mut self, target: Cycle) -> Cycle {
-        self.now = self.now.max(target);
         self.now
     }
 
@@ -286,39 +234,6 @@ mod tests {
         assert_eq!(p.pop(), Some(1));
         assert!(p.try_push(3).is_ok());
         assert_eq!(p.capacity(), 2);
-    }
-
-    #[test]
-    fn next_activity_defaults_to_always_active() {
-        struct Plain;
-        impl Tick for Plain {
-            fn tick(&mut self, _now: Cycle) {}
-        }
-        // A component that does not opt into the quiescence contract is
-        // conservatively active every cycle.
-        assert_eq!(Plain.next_activity(0), Some(0));
-        assert_eq!(Plain.next_activity(97), Some(97));
-    }
-
-    #[test]
-    fn occupancy_hooks_report_activity() {
-        let mut ch = Channel::new();
-        assert_eq!(ch.activity(5), None);
-        ch.push(1);
-        assert_eq!(ch.activity(5), Some(5));
-        let mut p = Port::bounded(1);
-        assert_eq!(p.activity(9), None);
-        p.try_push(1).unwrap();
-        assert_eq!(p.activity(9), Some(9));
-    }
-
-    #[test]
-    fn clock_advances_to_target_never_backwards() {
-        let mut clock = SimClock::new();
-        assert_eq!(clock.advance_to(10), 10);
-        assert_eq!(clock.now(), 10);
-        assert_eq!(clock.advance_to(3), 10, "never backwards");
-        assert_eq!(clock.advance(), 11);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Validated environment knobs with warn-once rejection.
 //!
-//! Every runtime knob (`CLIP_THREADS`, `CLIP_RETRY`, `CLIP_CHECK`,
-//! `CLIP_TICK`, the store-directory overrides, …) follows the contract
+//! Every runtime knob (`CLIP_THREADS`, `CLIP_RETRY`, `CLIP_CHECK`, the
+//! store-directory overrides, …) follows the contract
 //! `CLIP_THREADS` established: a value in its documented domain is
 //! honoured, anything else — garbage, out of range, empty — is rejected
 //! with a **single** stderr warning per knob and the caller's default
@@ -13,8 +13,8 @@
 //! * [`env_u64`] — integers in a range (`CLIP_THREADS`, `CLIP_RETRY`,
 //!   the millisecond budgets).
 //! * [`env_choice`] — one of an allowed word list, matched
-//!   case-insensitively after trimming (`CLIP_CHECK`, `CLIP_TICK`,
-//!   `CLIP_NOC`, `CLIP_DRAM`, the journal/fingerprint modes).
+//!   case-insensitively after trimming (`CLIP_CHECK`, `CLIP_NOC`,
+//!   `CLIP_DRAM`, the journal/fingerprint modes).
 //! * [`env_flag`] — booleans (`CLIP_CACHE`): `1`/`on`/`true`/`yes`
 //!   against `0`/`off`/`false`/`no`.
 //!

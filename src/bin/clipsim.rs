@@ -20,6 +20,7 @@ use clip::bench::experiment::write_artifact;
 use clip::bench::proto::{self, RunSpec};
 use clip::sim::{run_mix_checked, ComparisonReport, Scheme, SimResult};
 use clip::stats::Json;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 #[derive(Debug, Default)]
@@ -129,14 +130,28 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// Prints one line to stdout. A reader that closed the pipe early
+/// (`clipsim --list-workloads | head -2`) ends the process quietly with
+/// status 0; `println!` would panic with a backtrace instead.
+fn print_line(line: std::fmt::Arguments<'_>) {
+    match writeln!(std::io::stdout(), "{line}") {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
 /// Prints the run report exactly as the local path always has, from
 /// wherever the two results came from.
 fn print_report(spec: &RunSpec, mix_name: &str, res: &SimResult, base: &SimResult) {
-    println!("mix                 : {} x {}", spec.cores, mix_name);
-    println!(
+    print_line(format_args!(
+        "mix                 : {} x {}",
+        spec.cores, mix_name
+    ));
+    print_line(format_args!(
         "{}",
         ComparisonReport::new(spec.scheme().label(spec.prefetcher), res, base)
-    );
+    ));
 }
 
 fn run_local(spec: &RunSpec) -> ExitCode {
@@ -290,12 +305,12 @@ fn main() -> ExitCode {
 
     if args.list {
         for w in clip::trace::catalog::all() {
-            println!(
+            print_line(format_args!(
                 "{:<28} {:>10} lines  [{}]",
                 w.name,
                 w.footprint_lines,
                 w.suite.name()
-            );
+            ));
         }
         return ExitCode::SUCCESS;
     }

@@ -1,6 +1,7 @@
 //! End-to-end tests of the command-line binaries.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 #[test]
 fn clipsim_lists_workloads() {
@@ -13,6 +14,31 @@ fn clipsim_lists_workloads() {
     assert!(stdout.contains("605.mcf_s-1554B"));
     assert!(stdout.contains("cloudsuite.cassandra"));
     assert!(stdout.lines().count() >= 45 + 6 + 10);
+}
+
+#[test]
+fn clipsim_exits_quietly_when_stdout_closes_early() {
+    // `clipsim --list-workloads | head -1`: the reader takes one line (or
+    // none) and closes the pipe; the rest of the listing must not panic.
+    for lines_read in [1, 0] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_clipsim"))
+            .arg("--list-workloads")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        for _ in 0..lines_read {
+            let mut line = String::new();
+            stdout.read_line(&mut line).expect("first line");
+            assert!(!line.is_empty(), "the listing starts with a workload");
+        }
+        drop(stdout);
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+        assert!(out.status.success(), "status {}: {stderr}", out.status);
+    }
 }
 
 #[test]
