@@ -165,13 +165,13 @@ pub(crate) fn store_in(dir: &Path, key: &str, mix_name: &str, result: &SimResult
 /// [`store_util::prune_quarantine`]) and in-flight `.tmp.<pid>` files
 /// are never counted or touched. Best effort: an unreadable directory
 /// skips the pass; a concurrently-vanished entry is simply not
-/// re-deleted.
-pub(crate) fn gc_in(dir: &Path, cap: u64) {
+/// re-deleted. Returns the number of entries this pass deleted.
+pub(crate) fn gc_in(dir: &Path, cap: u64) -> u64 {
     if cap == 0 {
-        return;
+        return 0;
     }
     let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
+        return 0;
     };
     let mut files: Vec<(std::time::SystemTime, PathBuf, u64)> = Vec::new();
     let mut total: u64 = 0;
@@ -191,20 +191,23 @@ pub(crate) fn gc_in(dir: &Path, cap: u64) {
         files.push((mtime, p, meta.len()));
     }
     if total <= cap {
-        return;
+        return 0;
     }
     files.sort();
+    let mut evicted = 0;
     for (_, p, len) in files {
         if total <= cap {
             break;
         }
         if std::fs::remove_file(&p).is_ok() {
             EVICTIONS.fetch_add(1, Ordering::Relaxed);
+            evicted += 1;
         }
         // Count the entry as gone either way: a failed remove is almost
         // always "another process evicted it first".
         total = total.saturating_sub(len);
     }
+    evicted
 }
 
 #[cfg(test)]
@@ -361,9 +364,9 @@ mod tests {
         )
         .expect("seed tmp");
 
-        let before = stats().evictions;
-        gc_in(&dir, 4_500);
-        assert_eq!(stats().evictions - before, 6, "six entries evicted");
+        // The pass's own count: the process-global counter also moves
+        // with GC passes of tests running on other threads.
+        assert_eq!(gc_in(&dir, 4_500), 6, "six entries evicted");
         for i in 0..6 {
             assert!(
                 !dir.join(format!("entry-{i:02}.json")).exists(),
@@ -409,21 +412,36 @@ mod tests {
         // entry out from under it. Every successful lookup must decode to
         // the exact stored payload; everything else must be a clean miss
         // (never a panic, never a mangled result).
+        //
+        // Mid-race, the main thread also hands the reader one lookup it
+        // cannot lose: it signals right after a re-store and waits for
+        // the reader's next lookup before evicting again. Without it the
+        // reader might never be scheduled while the entry exists.
         let stop = std::sync::atomic::AtomicBool::new(false);
+        let (stored_tx, stored_rx) = std::sync::mpsc::channel::<()>();
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel::<()>();
         std::thread::scope(|s| {
-            let reader = s.spawn(|| {
-                let mut hits = 0u32;
-                let mut misses = 0u32;
-                while !stop.load(Ordering::Relaxed) {
-                    match lookup_in(&dir, "key-race", "mixname") {
-                        Some(got) => {
-                            assert_eq!(got.to_json().render(), expect, "torn read");
-                            hits += 1;
+            let reader = s.spawn({
+                // Borrow the shared state; move only the channel ends.
+                let (dir, expect, stop) = (&dir, &expect, &stop);
+                move || {
+                    let mut hits = 0u32;
+                    let mut misses = 0u32;
+                    while !stop.load(Ordering::Relaxed) {
+                        let handed = stored_rx.try_recv().is_ok();
+                        match lookup_in(dir, "key-race", "mixname") {
+                            Some(got) => {
+                                assert_eq!(got.to_json().render(), *expect, "torn read");
+                                hits += 1;
+                            }
+                            None => misses += 1,
                         }
-                        None => misses += 1,
+                        if handed {
+                            let _ = seen_tx.send(());
+                        }
                     }
+                    (hits, misses)
                 }
-                (hits, misses)
             });
             for round in 0..200 {
                 // Filler traffic plus a tiny cap forces eviction of
@@ -434,6 +452,11 @@ mod tests {
                 // ...then the entry is re-stored, so the reader keeps
                 // racing both the eviction and the atomic re-write.
                 store_in(&dir, "key-race", "mixname", &r);
+                if round == 100 {
+                    // Both fail only if the reader panicked; join reports it.
+                    let _ = stored_tx.send(());
+                    let _ = seen_rx.recv();
+                }
             }
             stop.store(true, Ordering::Relaxed);
             let (hits, misses) = reader.join().expect("reader must not panic");

@@ -62,7 +62,9 @@ use std::path::{Path, PathBuf};
 /// by the resolved [`CheckLevel`] so `cheap` and `full` streams — which
 /// hash different state and are never comparable — can never verify
 /// against each other.
-pub(crate) const FP_VERSION: u32 = 2;
+/// Version 3: the mesh NoC's full-level fold names packets by send
+/// sequence number and hashes only in-flight, partially arrived packets.
+pub(crate) const FP_VERSION: u32 = 3;
 
 /// What `CLIP_FP_BASELINE` asks of this run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
